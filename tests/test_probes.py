@@ -1,9 +1,19 @@
 """Tests for the probe bus and its zero-cost attachment contract."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import RunConfig, SystemConfig
-from repro.isa import OP_MEM, OP_TXN_END
+from repro.config import OSConfig, RunConfig, SystemConfig
+from repro.isa import (
+    OP_CPU,
+    OP_IO,
+    OP_LOCK,
+    OP_MEM,
+    OP_TXN_BEGIN,
+    OP_TXN_END,
+    OP_UNLOCK,
+    OP_YIELD,
+)
 from repro.probes import (
     CacheTrafficProbe,
     LockContentionProbe,
@@ -14,6 +24,7 @@ from repro.probes import (
 )
 from repro.system.machine import Machine
 from repro.system.simulation import run_simulation
+from repro.workloads.base import Workload, WorkloadProgram
 from repro.workloads.registry import make_workload
 from tests.conftest import small_machine as _small_machine
 
@@ -207,6 +218,141 @@ def _golden_scenario_digest(name, prepare) -> tuple[str, str]:
         )
     )
     return hashlib.sha256(blob.encode()).hexdigest(), load_golden()[name]
+
+
+# ---------------------------------------------------------------------------
+# Scripted workload: threads replay externally supplied op lists
+# ---------------------------------------------------------------------------
+class _ScriptProgram(WorkloadProgram):
+    global_queue = False
+
+    def __init__(self, name, tid, seed, clock, script):
+        super().__init__(name, tid, seed, clock)
+        self._script = script
+
+    def build_transaction(self):
+        if self.txn_index >= len(self._script):
+            self.finished = True
+            return []
+        return list(self._script[self.txn_index])
+
+
+class _ScriptWorkload(Workload):
+    """One thread per script; each script is a list of transactions."""
+
+    name = "script"
+
+    def __init__(self, scripts, seed: int = 7) -> None:
+        super().__init__(seed=seed)
+        self._scripts = scripts
+
+    def n_threads(self, n_cpus: int) -> int:
+        return len(self._scripts)
+
+    def make_program(self, tid, clock):
+        return _ScriptProgram(self.name, tid, self.seed, clock, self._scripts[tid])
+
+
+# A small address pool concentrates traffic: re-references hit, the pool
+# exceeding L1 capacity forces evictions and cold fills, and cross-thread
+# overlap forces coherence upgrades.
+_addr = st.integers(min_value=0, max_value=255).map(lambda b: b * 64 + 8)
+_code = st.integers(min_value=0, max_value=63).map(lambda b: b * 64)
+
+_body_op = st.one_of(
+    st.tuples(st.just(OP_MEM), _addr, st.integers(0, 1)),
+    st.tuples(st.just(OP_CPU), st.integers(1, 60), _code),
+    st.tuples(st.just(OP_IO), st.integers(50, 400)),
+    st.tuples(st.just(OP_YIELD)),
+)
+
+
+@st.composite
+def _transaction(draw):
+    body = draw(st.lists(_body_op, min_size=1, max_size=24))
+    # Locks are emitted as balanced critical sections so scripts can
+    # never deadlock (a finished thread would otherwise strand waiters
+    # and stall the machine).
+    if draw(st.booleans()):
+        lock_id = draw(st.integers(0, 2))
+        inner = draw(st.lists(_body_op, min_size=0, max_size=6))
+        body.append((OP_LOCK, lock_id))
+        body.extend(inner)
+        body.append((OP_UNLOCK, lock_id))
+    return [(OP_TXN_BEGIN, 0), *body, (OP_TXN_END, 0)]
+
+
+_scripts = st.lists(st.lists(_transaction(), min_size=1, max_size=5), min_size=1, max_size=4)
+
+#: two CPUs at the default quantum, or one CPU with a quantum short
+#: enough that preemption lands inside transactions
+_script_configs = st.sampled_from(
+    (
+        SystemConfig(n_cpus=2),
+        SystemConfig(n_cpus=1, os=OSConfig(quantum_ns=700, interleave_ns=500)),
+    )
+)
+
+
+def _machine_state(machine: Machine) -> tuple:
+    """Everything observable, as one comparable value."""
+    stats = machine.hierarchy.stats
+    return (
+        machine.clock.now,
+        machine.completed_transactions,
+        tuple(machine.transaction_log or ()),
+        tuple(
+            getattr(stats, name)
+            for name in (
+                "accesses", "l1_hits", "l2_hits", "l2_misses",
+                "cache_to_cache", "memory_fetches", "upgrades",
+                "writebacks", "perturbation_total_ns",
+            )
+        ),
+        machine.hierarchy.occupancy(include_order=True),
+        machine.locks.occupancy(),
+        tuple(
+            (
+                tid,
+                thread.stats.instructions,
+                thread.stats.transactions,
+                thread.stats.cpu_time_ns,
+                thread.ops_fetched,
+                thread.op_index,
+            )
+            for tid, thread in sorted(machine.scheduler.threads.items())
+        ),
+        tuple(core.instructions_retired for core in machine.cores),
+    )
+
+
+class TestMidRunAttach:
+    @settings(max_examples=25, deadline=None)
+    @given(scripts=_scripts, config=_script_configs)
+    def test_op_probe_attached_mid_run_is_transparent(self, scripts, config):
+        """Attaching an op probe halfway through swaps the dispatch table
+        under a live machine; the hand-off must neither skip nor repeat
+        an op, so the end state equals an unprobed run's (stopped and
+        resumed at the same transaction count)."""
+        total = sum(len(script) for script in scripts)
+
+        def run(attach):
+            machine = Machine(config, _ScriptWorkload(scripts))
+            machine.hierarchy.seed_perturbation(99)
+            machine.run_until_transactions(total // 2, max_time_ns=10**13)
+            seen = []
+            if attach:
+                machine.attach_probes(
+                    ProbeBus().on_op(lambda now, cpu, tid, op: seen.append(op[0]))
+                )
+            end = machine.run_until_transactions(total, max_time_ns=10**13)
+            return end, _machine_state(machine), seen
+
+        end_plain, state_plain, _ = run(False)
+        end_probed, state_probed, seen = run(True)
+        assert (end_probed, state_probed) == (end_plain, state_plain)
+        # The probe saw the second half: at least the last TXN_END.
+        assert seen and seen[-1] == OP_TXN_END
 
 
 class TestGoldenRoundTrip:
