@@ -928,13 +928,20 @@ class MemoryHierarchy:
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Return the full checkpointable memory-system state."""
+        """Return the full checkpointable memory-system state.
+
+        Directory sharers are stored as ``{block: tuple(sorted(nodes))}``:
+        a ``set``'s pickle bytes depend on its insertion history, and
+        :meth:`repro.system.checkpoint.Checkpoint.digest` hashes this
+        state's pickle, so every value here must pickle by content.
+        :meth:`restore_state` also accepts the older set-valued format.
+        """
         return {
             "l1i": [c.snapshot() for c in self.l1i],
             "l1d": [c.snapshot() for c in self.l1d],
             "l2": [c.snapshot() for c in self.l2],
             "owner": dict(self._owner),
-            "sharers": {b: set(s) for b, s in self._sharers.items()},
+            "sharers": {b: tuple(sorted(s)) for b, s in self._sharers.items()},
             "block_busy": dict(self._block_busy),
             "crossbar": self.crossbar.snapshot(),
             "dram": self.dram.snapshot(),

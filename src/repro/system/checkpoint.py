@@ -12,6 +12,7 @@ exactly how one checkpoint seeds runs of many candidate designs.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,25 +21,6 @@ from repro.config import SystemConfig
 from repro.system.machine import Machine
 from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
-
-
-def _canonicalize(obj):
-    """Rewrite state into a form whose pickle bytes are content-stable.
-
-    A ``set``'s iteration order depends on its insertion history, so two
-    equal sets (e.g. one freshly built and one rebuilt by unpickling) can
-    pickle to different bytes; hashing that would give a checkpoint a
-    different digest after every save/load round-trip.  Sorting set
-    elements (snapshot state only holds sortable primitives in sets)
-    makes the digest a pure function of content.
-    """
-    if isinstance(obj, (set, frozenset)):
-        return ("__set__", sorted(_canonicalize(x) for x in obj))
-    if isinstance(obj, dict):
-        return ("__dict__", [(k, _canonicalize(v)) for k, v in obj.items()])
-    if isinstance(obj, (list, tuple)):
-        return (type(obj).__name__, [_canonicalize(x) for x in obj])
-    return obj
 
 
 @dataclass
@@ -108,26 +90,40 @@ class Checkpoint:
 
         The run store mixes this into its keys so runs started from
         different checkpoints (even of the same workload) never collide.
-        The hash covers the captured machine state and the workload
-        identity; it is stable across processes and across save/load
+        It is SHA-256 (first 32 hex digits) of the protocol-4 pickle of
+        the workload identity (name, seed, scale, sorted params,
+        ``taken_at_transactions``) and the captured machine state.  The
+        pickler runs in fast mode (no memo), so the bytes depend only on
+        content, not on which equal objects share identity.  That needs
+        the state to be acyclic and to hold no ``set`` (a set pickles in
+        insertion-history order), which is why
+        :meth:`~repro.memory.hierarchy.MemoryHierarchy.snapshot` stores
+        directory sharers as sorted tuples.
+
+        The digest is stable across processes and across save/load
         round-trips for a checkpoint captured by the same code version,
         which is exactly the cache-reuse window we want (a code change
-        conservatively invalidates cached runs).
+        conservatively invalidates cached runs).  Adopting this encoding
+        changed every digest once: runs keyed by an explicit checkpoint's
+        digest re-run on their next request, while ``warm:`` refs and
+        warm keys are unaffected.
         """
         import hashlib
 
-        payload = pickle.dumps(
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=4)
+        pickler.fast = True
+        pickler.dump(
             (
                 self.workload_name,
                 self.workload_seed,
                 self.workload_scale,
                 sorted((self.workload_params or {}).items()),
                 self.taken_at_transactions,
-                _canonicalize(self.state),
-            ),
-            protocol=4,
+                self.state,
+            )
         )
-        return hashlib.sha256(payload).hexdigest()[:32]
+        return hashlib.sha256(buffer.getbuffer()).hexdigest()[:32]
 
     # ------------------------------------------------------------------
     # Persistence
